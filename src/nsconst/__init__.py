@@ -26,9 +26,7 @@ from .errors import (
 )
 from .flatsums import ScanResult, ball_scan, full_sum_oracle, g_flat, k_flat
 from .lattice import (
-    BallSpec,
     LatticeVector,
-    ball_points,
     canonicalize,
     projector_norm,
     zeta_partial,
@@ -46,7 +44,7 @@ from .lower import (
     limit_probe,
 )
 from .series import SeriesExpansion, eval_E, eval_F, expand_series, remainder_max
-from .farfield import SpherePoly, farfield_max, moment_poly, sphere_moments, sphere_polys
+from .farfield import SpherePoly, moment_poly, sphere_moments, sphere_polys
 from .spectral import (
     FourierField,
     advect,

@@ -16,6 +16,7 @@ from .envelopes import ProblemParams
 from .lower import TrialParams, g_lower_eval
 from .spectral import (
     FourierField,
+    _canonical_sign,
     advect,
     bilinear_map,
     leray_project,
@@ -35,15 +36,6 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return self.worst <= self.tol
-
-
-def _canonical(k: tuple[int, ...]) -> bool:
-    for x in k:
-        if x > 0:
-            return True
-        if x < 0:
-            return False
-    return True
 
 
 def check_projection_orthogonality(d: int, samples: int, seed: int) -> CheckResult:
@@ -92,7 +84,7 @@ def check_leray_properties(d: int, samples: int, seed: int) -> CheckResult:
         coeffs = {}
         for row in np.argwhere(np.ones((3,) * d)):
             k = tuple(int(x) - 1 for x in row)
-            if not any(k) or not _canonical(k):
+            if not any(k) or not _canonical_sign(k):
                 continue
             coeffs[k] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         f = FourierField(d, coeffs)

@@ -16,20 +16,18 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from dataclasses import dataclass
+from collections import Counter
+from typing import Callable
 
 from . import __version__
-from .envelopes import ProblemParams, envelope_max
-from .errors import NsconstError, OutOfRegimeError
-from .flatsums import k_flat, thread_count
+from .envelopes import ProblemParams
+from .errors import InvalidArgumentError, NsconstError, OutOfRegimeError
+from .flatsums import thread_count
 from .lower import (
-    TrialParams,
     asymptote_log,
     asymptotic_lower,
     asymptotic_lower_log,
-    g_lower_eval,
     g_lower_optimize,
     k_lower_combined,
     limit_probe,
@@ -43,50 +41,23 @@ from .reports import (
     report_json,
     upper_report_dict,
 )
-from .rounding import sig_str
-from .tables import (
-    ARB_ANCHOR_52,
-    ENVELOPE_C_ANCHORS,
-    REL_FARFIELD,
-    REL_FLAT,
-    TABLE_C,
-    TABLE_D,
-    TABLE_E,
-    TABLE_F,
-    desk_rows,
+from .tables import TABLE_C, TABLE_D, desk_rows
+from .upper import (
+    TruncationConfig,
+    rough_upper,
+    rough_upper_log,
+    rough_upper_root,
+    upper_bound,
 )
-from .upper import TruncationConfig, rough_upper, rough_upper_root, upper_bound
-
-
-@dataclass
-class JobConfig:
-    command: str
-    kind: str
-    p: float
-    n: float
-    d: int
-    rho: float | None = None
-    mu: float = 2.0
-    m: int = 6
-    threads: int | None = None
-    use_cache: bool = True
-    use_symmetry: bool = True
-
-    def params(self) -> ProblemParams:
-        return ProblemParams(self.p, self.n, self.d)
-
-    def settings(self) -> dict:
-        return {
-            "command": self.command,
-            "kind": self.kind,
-            "p": self.p,
-            "n": self.n,
-            "d": self.d,
-            "rho": self.rho,
-            "mu": self.mu,
-            "m": self.m,
-            "no_symmetry": not self.use_symmetry,
-        }
+from .verify import (
+    Check,
+    arb_anchor_checks,
+    envelope_c_checks,
+    table_e_checks,
+    table_f_checks,
+    upper_row_checks,
+    upper_row_report,
+)
 
 
 def _add_common(sp: argparse.ArgumentParser, need_p: bool = True) -> None:
@@ -159,49 +130,54 @@ def _finish(report: dict, args) -> None:
         emit(report, "csv", args.csv)
 
 
-def cmd_upper(args) -> int:
-    if args.cache_dir:
-        os.environ["NSCONST_CACHE_DIR"] = args.cache_dir
-    cfg = JobConfig(
-        "upper", args.kind, args.p, args.n, args.d, args.rho, args.mu, args.m,
-        args.threads, not args.no_cache, not args.no_symmetry,
-    )
-    key = job_key(cfg.settings())
-    report = cache_get(key) if cfg.use_cache else None
+# the arguments that decide a report (not output paths, threads or cache flags)
+_JOB_FIELDS = ("command", "kind", "p", "n", "d", "rho", "mu", "m", "no_symmetry")
+
+
+def _cached_report(args, compute: Callable[[], dict]) -> dict:
+    """The cached report of this job, else ``compute()`` stored in the cache."""
+    if args.no_cache:
+        return compute()
+    key = job_key({name: getattr(args, name, None) for name in _JOB_FIELDS})
+    report = cache_get(key, args.cache_dir)
     if report is None:
+        report = compute()
+        cache_put(key, report, args.cache_dir)
+    return report
+
+
+def cmd_upper(args) -> int:
+    def compute() -> dict:
         res = upper_bound(
             args.kind,
-            cfg.params(),
+            ProblemParams(args.p, args.n, args.d),
             TruncationConfig(args.rho, args.mu, args.m),
             threads=args.threads,
-            use_symmetry=cfg.use_symmetry,
+            use_symmetry=not args.no_symmetry,
         )
-        report = upper_report_dict(res, thread_count(args.threads))
-        if cfg.use_cache:
-            cache_put(key, report)
-    _finish(report, args)
+        return upper_report_dict(res, thread_count(args.threads))
+
+    _finish(_cached_report(args, compute), args)
     return 0
 
 
 def cmd_lower(args) -> int:
-    if args.cache_dir:
-        os.environ["NSCONST_CACHE_DIR"] = args.cache_dir
-    cfg = JobConfig("lower", args.kind, args.p, args.n, args.d, use_cache=not args.no_cache)
-    key = job_key(cfg.settings())
-    report = cache_get(key) if cfg.use_cache else None
-    if report is None:
-        params = cfg.params()
+    def compute() -> dict:
+        params = ProblemParams(args.p, args.n, args.d)
         res = k_lower_combined(params) if args.kind == "K" else g_lower_optimize(params)
-        report = lower_report_dict(res, 1)
-        if cfg.use_cache:
-            cache_put(key, report)
-    _finish(report, args)
+        return lower_report_dict(res, 1)
+
+    _finish(_cached_report(args, compute), args)
+    return 0
+
+
+def _finish_closed_form(result: dict, args) -> int:
+    meta = {"kind": args.kind, "p": args.p, "n": args.n, "d": args.d, "version": __version__}
+    _finish({"meta": meta, "result": result}, args)
     return 0
 
 
 def cmd_rough(args) -> int:
-    from .upper import rough_upper_log
-
     params = ProblemParams(args.p, args.n, args.d)
     result = {
         "log_rough_upper": rough_upper_log(args.kind, params),
@@ -209,13 +185,7 @@ def cmd_rough(args) -> int:
     }
     if not args.log_domain:
         result = {"rough_upper": rough_upper(args.kind, params), **result}
-    report = {
-        "meta": {"kind": args.kind, "p": args.p, "n": args.n, "d": args.d,
-                 "version": __version__},
-        "result": result,
-    }
-    _finish(report, args)
-    return 0
+    return _finish_closed_form(result, args)
 
 
 def cmd_asymptotics(args) -> int:
@@ -228,13 +198,7 @@ def cmd_asymptotics(args) -> int:
     }
     if not args.log_domain:
         result = {"lower": asymptotic_lower(args.kind, params), **result}
-    report = {
-        "meta": {"kind": args.kind, "p": args.p, "n": args.n, "d": args.d,
-                 "version": __version__},
-        "result": result,
-    }
-    _finish(report, args)
-    return 0
+    return _finish_closed_form(result, args)
 
 
 def cmd_limits(args) -> int:
@@ -260,104 +224,38 @@ def cmd_oracle(args) -> int:
 
 # -- table verification -------------------------------------------------------
 
-
-def _close(a: float, b: float, rel: float) -> bool:
-    return abs(a - b) <= rel * max(abs(a), abs(b))
+_TABLE_NAMES = {"C", "D", "E", "F", "ANCHORS"}
 
 
-class _Verifier:
-    def __init__(self) -> None:
-        self.failures = 0
-        self.passes = 0
-
-    def check(self, where: str, field: str, ok: bool, expected, got) -> None:
-        if ok:
-            self.passes += 1
-            print(f"[PASS] {where} {field}")
+def _print_checks(checks: list[Check], tally: Counter) -> None:
+    for c in checks:
+        tally[c.ok] += 1
+        if c.ok:
+            print(f"[PASS] {c.where} {c.field}")
         else:
-            self.failures += 1
-            print(f"[FAIL] {where} {field}: expected {expected}, got {got}")
-
-
-def _verify_upper_rows(kind: str, rows, vf: _Verifier, threads: int | None) -> None:
-    from .lattice import canonicalize
-
-    for row in rows:
-        params = ProblemParams(float(row.p), float(row.n), 3)
-        cfg = TruncationConfig(row.rho, 2.0, 6)
-        rep = upper_bound(kind, params, cfg, threads=threads)
-        where = f"table {'C' if kind == 'K' else 'D'} ({row.p},{row.n}) rho={row.rho:g}"
-        vf.check(where, "max_flat", _close(rep.ball_max, row.max_flat, REL_FLAT),
-                 row.max_flat, rep.ball_max)
-        vf.check(where, "kmax", rep.ball_argmax == canonicalize(row.kmax),
-                 canonicalize(row.kmax), rep.ball_argmax)
-        vf.check(where, "delta", _close(rep.tail_delta, row.delta, REL_FLAT),
-                 row.delta, rep.tail_delta)
-        vf.check(where, "farfield", _close(rep.farfield, row.farfield, REL_FARFIELD),
-                 row.farfield, rep.farfield)
-        vf.check(where, "final", sig_str(rep.final_bound) == row.final,
-                 row.final, sig_str(rep.final_bound))
-
-
-def _verify_table_e(vf: _Verifier) -> None:
-    from .lower import k_family_sup, k_lower_simple
-    from .rounding import round_sig
-
-    for row in TABLE_E:
-        params = ProblemParams(float(row.p), float(row.n), 3)
-        where = f"table E ({row.p},{row.n})"
-        simple = round_sig(k_lower_simple(params), 3, "down")
-        fam = round_sig(k_family_sup(params)[0], 3, "down")
-        combined = k_lower_combined(params)
-        vf.check(where, "simple", sig_str(simple) == row.simple, row.simple, sig_str(simple))
-        vf.check(where, "family", sig_str(fam) == row.family, row.family, sig_str(fam))
-        vf.check(where, "combined", sig_str(combined.value) == row.combined,
-                 row.combined, sig_str(combined.value))
-
-
-def _verify_table_f(vf: _Verifier) -> None:
-    from .rounding import round_sig
-
-    for row in TABLE_F:
-        params = ProblemParams(float(row.p), float(row.n), 3)
-        where = f"table F ({row.p},{row.n})"
-        at_point = g_lower_eval(params, TrialParams(*row.theta))
-        vf.check(where, "value_at_point", sig_str(round_sig(at_point, 3, "down")) == row.value,
-                 row.value, sig_str(round_sig(at_point, 3, "down")))
-        best = g_lower_optimize(params)
-        vf.check(where, "optimized>=printed", best.raw_value >= float(row.value),
-                 f">= {row.value}", best.raw_value)
-
-
-def _verify_anchors(vf: _Verifier) -> None:
-    a = ARB_ANCHOR_52
-    params = ProblemParams(float(a["p"]), float(a["n"]), 3)
-    got = k_flat(a["k"], params, a["rho"])
-    vf.check("high-precision anchor (5,2) rho=50", "flat(2,1,0)",
-             abs(got - a["value"]) <= a["abs_tol"], a["value"], got)
-    for (p, n), expected in ENVELOPE_C_ANCHORS.items():
-        env = envelope_max(ProblemParams(float(p), float(n), 3), "C")
-        vf.check(f"envelope C ({p},{n})", "value", _close(env.value, expected, REL_FLAT),
-                 expected, env.value)
+            print(f"[FAIL] {c.where} {c.field}: expected {c.expected}, got {c.got}")
 
 
 def cmd_verify_tables(args) -> int:
     wanted = {tok.strip().upper() for tok in args.tables.split(",") if tok.strip()}
-    vf = _Verifier()
-    if "C" in wanted:
-        rows = desk_rows(TABLE_C) if args.selection == "desk" else TABLE_C
-        _verify_upper_rows("K", rows, vf, args.threads)
-    if "D" in wanted:
-        rows = desk_rows(TABLE_D) if args.selection == "desk" else TABLE_D
-        _verify_upper_rows("G", rows, vf, args.threads)
+    if not wanted or not wanted <= _TABLE_NAMES:
+        raise InvalidArgumentError(
+            f"--tables takes names from C,D,E,F,anchors, got {args.tables!r}"
+        )
+    tally: Counter = Counter()
+    for name, kind, table in (("C", "K", TABLE_C), ("D", "G", TABLE_D)):
+        if name in wanted:
+            for row in desk_rows(table) if args.selection == "desk" else table:
+                rep = upper_row_report(kind, row, args.threads)
+                _print_checks(upper_row_checks(rep, row), tally)
     if "E" in wanted:
-        _verify_table_e(vf)
+        _print_checks(table_e_checks(), tally)
     if "F" in wanted:
-        _verify_table_f(vf)
+        _print_checks(table_f_checks(), tally)
     if "ANCHORS" in wanted or args.selection == "extended":
-        _verify_anchors(vf)
-    print(f"# {vf.passes} passed, {vf.failures} failed")
-    return 3 if vf.failures else 0
+        _print_checks(arb_anchor_checks() + envelope_c_checks(), tally)
+    print(f"# {tally[True]} passed, {tally[False]} failed")
+    return 3 if tally[False] else 0
 
 
 def main(argv: list[str] | None = None) -> int:

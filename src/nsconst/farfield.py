@@ -258,10 +258,3 @@ def farfield_detail(
         tail_sum=terms.tail_sum,
         grid_resolution=full.resolution,
     )
-
-
-def farfield_max(
-    params: ProblemParams, kind: str, rho: float, mu: float, m: int
-) -> float:
-    """Upper bound for the folded sum over every k with |k| >= mu * rho."""
-    return farfield_detail(params, kind, rho, mu, m).value

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -204,43 +205,11 @@ def g_flat(k, params: ProblemParams, rho: float, *, force_general: bool = False)
 # -- unfolded oracle ---------------------------------------------------------
 
 
-def _oracle_terms(
-    kind: str, k: np.ndarray, pts: np.ndarray, params: ProblemParams
+def _oracle_masked_sums(
+    kind: str, K: np.ndarray, pts: np.ndarray, params: ProblemParams
 ) -> np.ndarray:
-    """Raw (unfolded) summands of the infinite sum at the given h points."""
-    p, n, d = params.p, params.n, params.d
-    hsq = np.einsum("ij,ij->i", pts, pts)
-    km = k[None, :] - pts
-    kmsq = np.einsum("ij,ij->i", km, km)
-    keep = (hsq > 0) & (kmsq > 0)
-    hsqf = hsq[keep].astype(float)
-    kmsqf = kmsq[keep].astype(float)
-    sub = pts[keep]
-    kh = (sub @ k).astype(float)
-    dot = kh - hsqf
-    sin_sq = 1.0 - dot**2 / (hsqf * kmsqf)
-    ksq = float(np.dot(k, k))
-    if d == 2:
-        psq = sin_sq * (ksq - kh) ** 2 / (ksq * kmsqf)
-    else:
-        psq = sin_sq
-    if kind == "K":
-        denom = _pow_from_sq(hsqf, p) * _pow_from_sq(kmsqf, n) + _pow_from_sq(
-            hsqf, n
-        ) * _pow_from_sq(kmsqf, p)
-        return 4.0 * _pow_from_sq(np.array([ksq]), 2.0 * p)[0] * psq / denom**2
-    kp = _pow_from_sq(np.array([ksq]), p)[0]
-    denom = _pow_from_sq(hsqf, p) * _pow_from_sq(kmsqf, n - 1.0) + _pow_from_sq(
-        hsqf, n
-    ) * _pow_from_sq(kmsqf, p - 1.0)
-    return 4.0 * (kp - _pow_from_sq(kmsqf, p)) ** 2 * psq / denom**2
-
-
-def _oracle_chunk_sums(
-    kind: str, K: np.ndarray, pts: np.ndarray, params: ProblemParams, t_big: int
-) -> np.ndarray:
-    """Per-k unfolded sums over one chunk of the union domain: the chunk
-    itself plus, per k, the shifted sliver lying outside the big ball."""
+    """Per-k sums of the raw (unfolded) summands over the points ``pts``,
+    skipping h = 0 and h = k."""
     p, n, d = params.p, params.n, params.d
     B = len(K)
     hsq = np.einsum("ij,ij->i", pts, pts)
@@ -270,14 +239,22 @@ def _oracle_chunk_sums(
         )
         terms = (kp - _pow_from_sq(kmsqf, p)) ** 2 * psq / np.where(keep, denom, 1.0) ** 2
         scale = np.full(B, 4.0)
-    sums = scale * np.sum(np.where(keep, terms, 0.0), axis=0)
+    return scale * np.sum(np.where(keep, terms, 0.0), axis=0)
+
+
+def _oracle_chunk_sums(
+    kind: str, K: np.ndarray, pts: np.ndarray, params: ProblemParams, t_big: int
+) -> np.ndarray:
+    """Per-k unfolded sums over one chunk of the union domain: the chunk
+    itself plus, per k, the shifted sliver lying outside the big ball."""
+    sums = _oracle_masked_sums(kind, K, pts, params)
     # shifted slivers, evaluated only on the few points leaving the big ball
-    for i in range(B):
+    for i in range(len(K)):
         shifted = K[i][None, :] + pts
         ssq = np.einsum("ij,ij->i", shifted, shifted)
         outside = shifted[ssq > t_big]
         if len(outside):
-            sums[i] += float(np.sum(_oracle_terms(kind, K[i], outside, params)))
+            sums[i] += _oracle_masked_sums(kind, K[i : i + 1], outside, params)[0]
     return sums
 
 
@@ -306,18 +283,26 @@ def full_sum_oracle_batch(
     K = np.stack([_check_k(k, params.d) for k in ks])
     t_big = sq_threshold(big_radius)
     chunk_pts = max(1, _BATCH_CELLS // max(len(K), 1))
-    chunks = list(iter_ball_chunks(params.d, t_big, chunk_pts))
-    n_threads = thread_count(threads)
-    if n_threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as ex:
-            parts = list(
-                ex.map(lambda pts: _oracle_chunk_sums(kind, K, pts, params, t_big), chunks)
-            )
-    else:
-        parts = [_oracle_chunk_sums(kind, K, pts, params, t_big) for pts in chunks]
+    chunks = iter_ball_chunks(params.d, t_big, chunk_pts)
     totals = np.zeros(len(K))
-    for part in parts:
-        totals += part
+
+    def chunk_sums(pts: np.ndarray) -> np.ndarray:
+        return _oracle_chunk_sums(kind, K, pts, params, t_big)
+
+    n_threads = thread_count(threads)
+    if n_threads == 1:
+        for pts in chunks:
+            totals += chunk_sums(pts)
+    else:
+        # at most n_threads chunks in flight, added in chunk order
+        with ThreadPoolExecutor(max_workers=n_threads) as ex:
+            pending: deque = deque()
+            for pts in chunks:
+                pending.append(ex.submit(chunk_sums, pts))
+                if len(pending) >= n_threads:
+                    totals += pending.popleft().result()
+            while pending:
+                totals += pending.popleft().result()
     return [float(v) for v in totals]
 
 

@@ -9,7 +9,6 @@ by floating-point rounding at the ball boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -32,22 +31,6 @@ def sq_threshold(radius: float | int | Fraction) -> int:
     if t == r2:
         t -= 1
     return t
-
-
-@dataclass(frozen=True)
-class BallSpec:
-    """Open lattice ball {h in Z^d : |h| < radius} minus an excluded set."""
-
-    d: int
-    radius: float
-    excludes: frozenset[LatticeVector] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        if self.d < 2:
-            raise InvalidDimensionError(f"dimension must be >= 2, got {self.d}")
-        if self.radius <= 0:
-            raise InvalidArgumentError("radius must be positive")
-        object.__setattr__(self, "excludes", frozenset(tuple(e) for e in self.excludes))
 
 
 def _axis_range(t: int) -> np.ndarray:
@@ -100,17 +83,6 @@ def nonzero_ball(d: int, radius: float) -> np.ndarray:
     pts = ball_array(d, sq_threshold(radius))
     keep = np.any(pts != 0, axis=1)
     return pts[keep]
-
-
-def ball_points(spec: BallSpec) -> list[LatticeVector]:
-    """Enumerate the ball of ``spec`` as tuples, in lexicographic order."""
-    pts = ball_array(spec.d, sq_threshold(spec.radius))
-    out: list[LatticeVector] = []
-    for row in pts:
-        v = tuple(int(x) for x in row)
-        if v not in spec.excludes:
-            out.append(v)
-    return out
 
 
 def canonicalize(k: Sequence[int]) -> LatticeVector:

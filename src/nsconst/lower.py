@@ -15,16 +15,14 @@ family optimized by local coordinate descent, plus its own large-p form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .envelopes import ProblemParams
 from .errors import InvalidArgumentError
 from .rounding import round_sig
-from .upper import rough_upper_log
-
-_LOG_DOMAIN_P = 300.0
+from .upper import _LOG_DOMAIN_P, rough_upper_log
 
 
 @dataclass(frozen=True)

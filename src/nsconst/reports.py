@@ -3,11 +3,13 @@
 JSON reports keep a fixed key order and full-precision floats, so a report
 round-trips exactly and identical jobs produce byte-identical files.  The
 cache stores the serialized report keyed by a content hash of the job
-settings and the package version; large scans are therefore free to re-run.
+settings, the package version and a digest of the package sources; large
+scans are therefore free to re-run, and a code change invalidates them.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -147,23 +149,43 @@ def emit(report: dict[str, Any], fmt: str, path: str | Path) -> Path:
 # -- cache ------------------------------------------------------------------
 
 
-def cache_dir() -> Path:
+def cache_dir(explicit: str | Path | None = None) -> Path:
+    """``explicit`` if given, else NSCONST_CACHE_DIR, else ~/.cache/nsconst."""
+    if explicit:
+        return Path(explicit)
     env = os.environ.get("NSCONST_CACHE_DIR")
     if env:
         return Path(env)
     return Path.home() / ".cache" / "nsconst"
 
 
+@functools.cache
+def source_digest() -> str:
+    """SHA-256 of the package's ``*.py`` sources in sorted path order.
+
+    Part of every cache key, so that a report computed by other code is never
+    served.  Computed at the first ``job_key`` call, not at import.
+    """
+    root = Path(__file__).parent
+    h = hashlib.sha256()
+    for rel in sorted(p.relative_to(root).as_posix() for p in root.rglob("*.py")):
+        h.update(rel.encode() + b"\0")
+        h.update((root / rel).read_bytes())
+    return h.hexdigest()
+
+
 def job_key(settings: dict[str, Any]) -> str:
-    """Content hash of the numeric job settings plus the code version."""
+    """Content hash of the numeric job settings, the code version and the
+    source digest."""
     payload = dict(sorted(settings.items()))
     payload["version"] = __version__
+    payload["source"] = source_digest()
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:32]
 
 
-def cache_get(key: str) -> dict[str, Any] | None:
-    path = cache_dir() / f"{key}.json"
+def cache_get(key: str, base: str | Path | None = None) -> dict[str, Any] | None:
+    path = cache_dir(base) / f"{key}.json"
     if not path.exists():
         return None
     try:
@@ -173,8 +195,8 @@ def cache_get(key: str) -> dict[str, Any] | None:
         return None
 
 
-def cache_put(key: str, report: dict[str, Any]) -> None:
-    base = cache_dir()
+def cache_put(key: str, report: dict[str, Any], base: str | Path | None = None) -> None:
+    base = cache_dir(base)
     base.mkdir(parents=True, exist_ok=True)
     text = report_json(report)
     fd, tmp = tempfile.mkstemp(dir=base, suffix=".tmp")

@@ -24,6 +24,7 @@ from .lattice import LatticeVector, nonzero_ball
 
 _DROP_TOL = 1e-15  # coefficients below this magnitude are dropped
 _PAIR_TOL = 1e-9  # tolerated mismatch when both k and -k are supplied
+_MEAN_REL_TOL = 1e-12  # a mean this small against the largest coefficient is round-off
 
 
 def _canonical_sign(k: LatticeVector) -> bool:
@@ -99,8 +100,12 @@ class FourierField:
     def mean_coeff(self) -> np.ndarray:
         return self.coeff((0,) * self.d)
 
-    def has_zero_mean(self, tol: float = _DROP_TOL) -> bool:
-        return bool(np.max(np.abs(self.mean_coeff()), initial=0.0) <= tol)
+    def has_zero_mean(self, rel: float = _MEAN_REL_TOL) -> bool:
+        """True if the mean coefficient is at most ``rel`` times the largest
+        coefficient magnitude, i.e. zero up to the round-off of products."""
+        mean = float(np.max(np.abs(self.mean_coeff()), initial=0.0))
+        largest = max((float(np.max(np.abs(c))) for c in self._coeffs.values()), default=0.0)
+        return mean <= rel * largest
 
     def divergence_norm(self) -> float:
         """max_k |k . v_k|; zero for solenoidal fields."""
@@ -114,10 +119,6 @@ class FourierField:
 
 
 # -- constructors ---------------------------------------------------------
-
-
-def field_from_modes(d: int, modes: Mapping[LatticeVector, Iterable[complex]]) -> FourierField:
-    return FourierField(d, modes)
 
 
 def random_solenoidal_field(

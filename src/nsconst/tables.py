@@ -1,9 +1,9 @@
 """Published reference values embedded as data.
 
-Each anchor row records the values a correct build must reproduce together
-with its tolerance class, so that the verification command and the
-acceptance suite share one source of truth.  Values are stored verbatim as
-printed; finals are exact three-significant-digit strings.
+Each anchor row records the values a correct build must reproduce; the
+``verify`` module compares them, at the tolerance classes below, for both
+the verification command and the acceptance suite.  Values are stored
+verbatim as printed; finals are exact three-significant-digit strings.
 
 Tolerance classes:
     flat      relative 1e-4   (scan maximum, truncation constants)

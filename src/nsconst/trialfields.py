@@ -21,13 +21,6 @@ def _unit(d: int, axis: int) -> np.ndarray:
     return e
 
 
-def _mode(d: int, **axes: int) -> tuple[int, ...]:
-    k = [0] * d
-    for name, val in axes.items():
-        k[int(name[1:])] = val
-    return tuple(k)
-
-
 def _pair(d: int, k: tuple[int, ...], coef: np.ndarray, odd: bool) -> dict:
     """Modes +-k with coefficient coef at +k; odd pairs carry i*(e_k - e_-k),
     even pairs carry (e_k + e_-k)."""

@@ -11,7 +11,6 @@ bounds use (see the repository notes for the full analysis).
 """
 
 import math
-import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -24,32 +23,19 @@ from nsconst.checks import (
 )
 from nsconst.envelopes import ProblemParams, envelope_max
 from nsconst.farfield import moment_poly, sphere_polys
-from nsconst.lattice import canonicalize, zeta_partial, zeta_tail_bound
-from nsconst.lower import (
-    TrialParams,
-    asymptote_log,
-    asymptotic_lower_log,
-    g_lower_eval,
-    g_lower_optimize,
-    k_family_sup,
-    k_lower_combined,
-    k_lower_simple,
-    limit_probe,
-)
-from nsconst.rounding import round_sig, sig_str
+from nsconst.lattice import zeta_partial, zeta_tail_bound
+from nsconst.lower import asymptote_log, asymptotic_lower_log, limit_probe
 from nsconst.series import eval_E, eval_F, expand_series, remainder_max
-from nsconst.tables import (
-    ARB_ANCHOR_52,
-    ENVELOPE_C_ANCHORS,
-    SERIES_52_ANCHORS,
-    TABLE_C,
-    TABLE_D,
-    TABLE_E,
-    TABLE_F,
-    desk_rows,
-    extended_rows,
+from nsconst.tables import SERIES_52_ANCHORS, TABLE_C, TABLE_D, desk_rows, extended_rows
+from nsconst.upper import TruncationConfig, sandwich_check
+from nsconst.verify import (
+    arb_anchor_checks,
+    envelope_c_checks,
+    table_e_checks,
+    table_f_checks,
+    upper_row_checks,
+    upper_row_report,
 )
-from nsconst.upper import TruncationConfig, sandwich_check, upper_bound
 
 PP52 = ProblemParams(5.0, 2.0, 3)
 
@@ -69,46 +55,30 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def _check_upper_row(rep, row, failures):
-    from nsconst.upper import rough_upper
-
-    tag = f"({row.p},{row.n})"
-    if _rel(rep.ball_max, row.max_flat) > 1e-4:
-        failures.append(f"{tag} max_flat {rep.ball_max} vs {row.max_flat}")
-    if rep.ball_argmax != canonicalize(row.kmax):
-        failures.append(f"{tag} argmax {rep.ball_argmax} vs {row.kmax}")
-    if _rel(rep.tail_delta, row.delta) > 1e-4:
-        failures.append(f"{tag} delta {rep.tail_delta} vs {row.delta}")
-    if _rel(rep.farfield, row.farfield) > 1e-2:
-        failures.append(f"{tag} farfield {rep.farfield} vs {row.farfield}")
-    if sig_str(rep.final_bound) != row.final:
-        failures.append(f"{tag} final {sig_str(rep.final_bound)} vs {row.final}")
-    if rough_upper(rep.kind, rep.params) < rep.raw_final:
-        failures.append(f"{tag} rough bound below refined bound")
+def _assert_all_pass(checks):
+    failed = [c for c in checks if not c.ok]
+    assert not failed, failed
 
 
 def test_criterion_1_table_c_desk_rows(desk_upper):
     with criterion("1 basic-inequality desk rows"):
-        failures = []
-        for row in desk_rows(TABLE_C):
-            _check_upper_row(desk_upper("K", row.p, row.n), row, failures)
-        assert not failures, failures
+        _assert_all_pass(
+            [c for row in desk_rows(TABLE_C)
+             for c in upper_row_checks(desk_upper("K", row.p, row.n), row)]
+        )
 
 
 def test_criterion_2_table_d_desk_rows(desk_upper):
     with criterion("2 Kato-inequality desk rows"):
-        failures = []
-        for row in desk_rows(TABLE_D):
-            _check_upper_row(desk_upper("G", row.p, row.n), row, failures)
-        assert not failures, failures
+        _assert_all_pass(
+            [c for row in desk_rows(TABLE_D)
+             for c in upper_row_checks(desk_upper("G", row.p, row.n), row)]
+        )
 
 
 def test_criterion_3_high_precision_anchor():
     with criterion("3 high-precision flat-sum anchor"):
-        from nsconst.flatsums import k_flat
-
-        got = k_flat(ARB_ANCHOR_52["k"], PP52, ARB_ANCHOR_52["rho"])
-        assert abs(got - ARB_ANCHOR_52["value"]) <= ARB_ANCHOR_52["abs_tol"]
+        _assert_all_pass(arb_anchor_checks())
 
 
 @pytest.mark.extended
@@ -119,44 +89,22 @@ def test_criterion_3_high_precision_anchor():
 )
 def test_criterion_3_extended_rows(kind, row):
     with criterion(f"3 extended row {kind}({row.p},{row.n}) rho={row.rho:g}"):
-        failures = []
-        rep = upper_bound(
-            kind,
-            ProblemParams(float(row.p), float(row.n), 3),
-            TruncationConfig(row.rho, 2.0, 6),
-        )
-        _check_upper_row(rep, row, failures)
-        assert not failures, failures
+        _assert_all_pass(upper_row_checks(upper_row_report(kind, row), row))
 
 
 def test_criterion_4_table_e():
     with criterion("4 basic-inequality lower table"):
-        for row in TABLE_E:
-            pp = ProblemParams(float(row.p), float(row.n), 3)
-            assert sig_str(round_sig(k_lower_simple(pp), 3, "down")) == row.simple
-            assert sig_str(round_sig(k_family_sup(pp)[0], 3, "down")) == row.family
-            combined = k_lower_combined(pp)
-            assert sig_str(combined.value) == row.combined
-            # the combined column is the one repeated in the summary table
-            assert combined.raw_value == max(
-                k_lower_simple(pp), k_family_sup(pp)[0]
-            )
+        _assert_all_pass(table_e_checks())
 
 
 def test_criterion_5_table_f():
     with criterion("5 Kato-inequality lower table"):
-        for row in TABLE_F:
-            pp = ProblemParams(float(row.p), float(row.n), 3)
-            at_point = g_lower_eval(pp, TrialParams(*row.theta))
-            assert sig_str(round_sig(at_point, 3, "down")) == row.value
-            assert g_lower_optimize(pp).raw_value >= float(row.value)
+        _assert_all_pass(table_f_checks())
 
 
 def test_criterion_6_envelope_constants():
     with criterion("6 envelope constants"):
-        for (p, n), expected in ENVELOPE_C_ANCHORS.items():
-            env = envelope_max(ProblemParams(float(p), float(n), 3), "C")
-            assert _rel(env.value, expected) <= 1e-4, (p, n, env.value)
+        _assert_all_pass(envelope_c_checks())
         pairs = [(p, 2) for p in range(2, 11)] + [(p, 3) for p in range(3, 11)]
         for p, n in pairs:
             env = envelope_max(ProblemParams(float(p), float(n), 3), "B")

@@ -1,11 +1,17 @@
+import dataclasses
 import json
 import math
+import os
+import shutil
+from pathlib import Path
 
 import pytest
 
+from nsconst import reports, verify
 from nsconst.cli import main
 from nsconst.flatsums import thread_count
-from nsconst.reports import report_csv, report_json, upper_report_dict
+from nsconst.reports import job_key, report_csv, report_json, upper_report_dict
+from nsconst.tables import TABLE_E
 
 
 class TestExitCodes:
@@ -19,6 +25,11 @@ class TestExitCodes:
         assert code == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    def test_oracle_planar_round_off_mean(self, capsys):
+        # products with a round-off mean coefficient no longer abort the checks
+        assert main(["oracle", "--d", "2", "--samples", "50", "--seed", "0"]) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
 
     def test_limits_output(self, capsys):
         code = main(["limits", "--kind", "K", "--n", "3", "--d", "3", "--p-list", "100,1000"])
@@ -60,6 +71,18 @@ class TestLowerJobs:
         assert "corrupt cache" in captured.err
         assert json.loads(captured.out)["result"]["rounded"] == 0.179
 
+    def test_cache_dir_flag_leaves_environment(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("NSCONST_CACHE_DIR", str(tmp_path / "env"))
+        before = dict(os.environ)
+        argv = ["lower", "--kind", "K", "--p", "2", "--n", "2", "--d", "3"]
+        assert main(argv + ["--cache-dir", str(tmp_path / "flag")]) == 0
+        assert dict(os.environ) == before
+        assert list((tmp_path / "flag").glob("*.json"))
+        # a later call without the flag uses NSCONST_CACHE_DIR again
+        assert main(argv) == 0
+        assert list((tmp_path / "env").glob("*.json"))
+
+
     def test_lower_g_csv(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("NSCONST_CACHE_DIR", str(tmp_path / "cache"))
         out = tmp_path / "row.csv"
@@ -76,6 +99,33 @@ class TestLowerJobs:
         assert float(cells[5]) == pytest.approx(0.0135851, rel=1e-3)
         assert cells[6] == "0.121"
 
+
+class TestCacheKey:
+    SETTINGS = {"command": "lower", "kind": "G", "p": 3.0, "n": 3.0, "d": 3,
+                "rho": None, "mu": 2.0, "m": 6, "no_symmetry": False}
+
+    def test_stable_for_fixed_sources(self, monkeypatch):
+        monkeypatch.setattr(reports, "source_digest", lambda: "0" * 64)
+        key = job_key(self.SETTINGS)
+        assert job_key(dict(reversed(self.SETTINGS.items()))) == key
+        assert job_key(dict(self.SETTINGS)) == key
+
+    def test_source_change_changes_key(self, monkeypatch):
+        monkeypatch.setattr(reports, "source_digest", lambda: "0" * 64)
+        key = job_key(self.SETTINGS)
+        monkeypatch.setattr(reports, "source_digest", lambda: "1" * 64)
+        assert job_key(self.SETTINGS) != key
+
+    def test_digest_follows_sources(self, tmp_path, monkeypatch):
+        original = reports.source_digest()
+        copy = tmp_path / "nsconst"
+        shutil.copytree(Path(reports.__file__).parent, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.setattr(reports, "__file__", str(copy / "reports.py"))
+        digest = reports.source_digest.__wrapped__  # bypass the per-process memo
+        assert digest() == original
+        (copy / "tables.py").write_text((copy / "tables.py").read_text() + "# edited\n")
+        assert digest() != original
 
 class TestJsonRoundTrip:
     def test_report_parses_back(self, tmp_path, monkeypatch, capsys):
@@ -129,6 +179,20 @@ class TestVerifyTables:
         assert code == 0, out
         assert "[FAIL]" not in out
         assert "failed" in out.splitlines()[-1]
+
+    def test_unknown_table_is_two(self, capsys):
+        assert main(["verify-tables", "--tables", "X"]) == 2
+        captured = capsys.readouterr()
+        assert "--tables takes names from C,D,E,F,anchors, got 'X'" in captured.err
+        assert captured.out == ""
+
+    def test_wrong_row_fails(self, capsys, monkeypatch):
+        wrong = dataclasses.replace(TABLE_E[0], family="0.0810")
+        monkeypatch.setattr(verify, "TABLE_E", (wrong,))
+        assert main(["verify-tables", "--tables", "E"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert "[FAIL] table E (2,2) family: expected 0.0810, got 0.0809" in lines
+        assert lines[-1] == "# 3 passed, 1 failed"
 
 
 class TestThreadCount:

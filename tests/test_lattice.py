@@ -5,49 +5,56 @@ import pytest
 
 from nsconst.errors import InvalidArgumentError, InvalidDimensionError, OutOfRegimeError
 from nsconst.lattice import (
-    BallSpec,
-    ball_points,
+    ball_array,
     canonicalize,
+    nonzero_ball,
     projector_norm,
     reflections_and_permutations,
+    sq_threshold,
     zeta_partial,
     zeta_tail_bound,
 )
 
 
+def _tuples(pts: np.ndarray) -> list[tuple[int, ...]]:
+    return [tuple(int(x) for x in row) for row in pts]
+
+
 class TestBallPoints:
     def test_unit_sphere_d3(self):
         # radius between 1 and sqrt(2): exactly the six unit vectors
-        pts = ball_points(BallSpec(3, 1.2, frozenset({(0, 0, 0)})))
+        pts = _tuples(nonzero_ball(3, 1.2))
         assert sorted(pts) == sorted(
             [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
         )
 
     def test_radius_15_includes_sqrt2_shell(self):
         # |(1,1,0)| = sqrt(2) < 1.5, so the second shell belongs to the ball
-        pts = ball_points(BallSpec(3, 1.5, frozenset({(0, 0, 0)})))
+        pts = _tuples(nonzero_ball(3, 1.5))
         assert (1, 1, 0) in pts
         assert len(pts) == 18
 
     def test_count_d2(self):
-        pts = ball_points(BallSpec(2, 2.5, frozenset({(0, 0)})))
+        pts = _tuples(nonzero_ball(2, 2.5))
         assert len(pts) == 20
         assert all(h[0] ** 2 + h[1] ** 2 < 6.25 for h in pts)
 
     def test_empty_inside_half(self):
-        assert ball_points(BallSpec(3, 0.5, frozenset({(0, 0, 0)}))) == []
+        assert _tuples(nonzero_ball(3, 0.5)) == []
 
     def test_lexicographic_order(self):
-        pts = ball_points(BallSpec(2, 2.1))
+        # the origin included
+        pts = _tuples(ball_array(2, sq_threshold(2.1)))
+        assert (0, 0) in pts
         assert pts == sorted(pts)
 
     def test_dimension_guard(self):
         with pytest.raises(InvalidDimensionError):
-            BallSpec(1, 2.0)
+            nonzero_ball(1, 2.0)
 
     def test_boundary_is_exact(self):
         # radius exactly 2: |h| < 2 excludes the four points with |h|^2 = 4
-        pts = ball_points(BallSpec(2, 2.0, frozenset({(0, 0)})))
+        pts = _tuples(nonzero_ball(2, 2.0))
         assert (2, 0) not in pts and (0, 2) not in pts
         assert len(pts) == 8
 

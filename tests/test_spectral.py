@@ -162,6 +162,24 @@ class TestSobolev:
         with pytest.raises(InvalidArgumentError):
             sobolev_inner(f, g, 1.0)
 
+    def test_small_real_mean_rejected(self):
+        # far above round-off of the unit coefficient, though below 1e-8
+        f = FourierField(3, {(0, 0, 0): 1e-9 * unit(3, 0), (1, 0, 0): unit(3, 1)})
+        g = random_solenoidal_field(3, 1.5, np.random.default_rng(0))
+        with pytest.raises(InvalidArgumentError):
+            sobolev_inner(f, g, 1.0)
+
+    def test_round_off_mean_of_product_accepted(self):
+        # the 13th pair drawn from seed 1 gives a product whose mean
+        # coefficient, 1.5e-15, is round-off against coefficients near 6
+        rng = np.random.default_rng(1)
+        for _ in range(13):
+            v = random_solenoidal_field(2, 3.0, rng)
+            w = random_solenoidal_field(2, 3.0, rng)
+        prod = advect(v, w)
+        assert np.max(np.abs(prod.mean_coeff())) > 1e-15
+        assert abs(sobolev_inner(prod, w, 0.0)) <= 1e-10
+
 
 class TestReality:
     def test_conjugate_reconstructed(self):
@@ -180,6 +198,11 @@ class TestOrthogonalityInvariants:
 
     def test_advection_orthogonal(self):
         assert check_advection_orthogonality(3, 100, 1).worst <= 1e-10
+
+    def test_round_off_mean_seed(self):
+        # seed 35 yields products whose mean coefficient is pure round-off
+        assert check_advection_orthogonality(3, 10, 35).worst <= 1e-10
+        assert check_projection_orthogonality(3, 10, 35).worst <= 1e-10
 
     def test_mean_divergence(self):
         assert check_mean_and_divergence(3, 50, 2).passed
