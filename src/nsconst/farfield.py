@@ -74,6 +74,10 @@ def sphere_moments(
     return dict(zip(alphas, acc))
 
 
+def _axis_powers(pts: np.ndarray, degree: int) -> dict[tuple[int, int], np.ndarray]:
+    return {(r, e): pts[:, r] ** e for r in range(pts.shape[1]) for e in range(1, degree + 1)}
+
+
 @dataclass(frozen=True)
 class SpherePoly:
     """Polynomial on the unit sphere stored as a monomial table."""
@@ -82,10 +86,13 @@ class SpherePoly:
     degree: int
     terms: Mapping[tuple[int, ...], float]  # multi-index -> monomial coefficient
 
-    def __call__(self, u) -> np.ndarray | float:
+    def __call__(self, u, pows=None) -> np.ndarray | float:
+        """Values at one point or at the rows of ``u``; ``pows`` is an
+        ``_axis_powers`` table, which polynomials at the same points share."""
         u = np.asarray(u, dtype=float)
         scalar = u.ndim == 1
         pts = u[None, :] if scalar else u
+        pows = _axis_powers(pts, self.degree) if pows is None else pows
         out = np.zeros(len(pts))
         for alpha, coef in self.terms.items():
             if coef == 0.0:
@@ -93,7 +100,7 @@ class SpherePoly:
             mono = np.full(len(pts), coef)
             for r, e in enumerate(alpha):
                 if e:
-                    mono = mono * pts[:, r] ** e
+                    mono *= pows[r, e]
             out += mono
         return float(out[0]) if scalar else out
 
@@ -232,7 +239,8 @@ def farfield_detail(
 
     def coeff_fn(tail: float):
         def fn(U: np.ndarray) -> np.ndarray:
-            cols = [poly(U) for poly in terms.polys]
+            pows = _axis_powers(U, max(poly.degree for poly in terms.polys))
+            cols = [poly(U, pows) for poly in terms.polys]
             cols.append(np.full(len(U), tail))
             return np.column_stack(cols)
 

@@ -56,7 +56,6 @@ def box_maximize(
     evals = 0
     widths = [hi - lo for lo, hi in bounds]
     cur = bounds
-    steps = tuple(w / max(npts - 1, 1) for w in widths)
     for rnd in range(cfg.rounds + 1):
         axes = [np.linspace(lo, hi, npts) for lo, hi in cur]
         steps = tuple((hi - lo) / max(npts - 1, 1) for lo, hi in cur)
@@ -124,9 +123,7 @@ def sphere_interval_maximize(
     best_eps = 0.0
     evals = 0
     powers = np.asarray(powers, dtype=float)
-    res = tuple((hi - lo) / max(pts - 1, 1) for lo, hi in cur_ang) + (
-        eps_hi / max(eps_points - 1, 1),
-    )
+    buf = np.empty((min(chunk, pts ** n_ang), eps_points))  # reused value block
     for rnd in range(rounds + 1):
         axes = [np.linspace(lo, hi, pts) for lo, hi in cur_ang]
         res = tuple((hi - lo) / max(pts - 1, 1) for lo, hi in cur_ang) + (
@@ -142,7 +139,7 @@ def sphere_interval_maximize(
         for lo in range(0, len(U), chunk):
             block = U[lo : lo + chunk]
             A = coeff_fn(block)  # (B, J)
-            vals = A @ eps_pows.T  # (B, n_eps)
+            vals = np.matmul(A, eps_pows.T, out=buf[: len(block)])  # (B, n_eps)
             evals += vals.size
             flat = int(np.argmax(vals))
             v = float(vals.ravel()[flat])
